@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check lint race bench bench-smoke bench-compare metrics-smoke report-smoke service-smoke collio-smoke alert-smoke trace-smoke
+.PHONY: build test check lint fuzz race bench bench-smoke bench-compare metrics-smoke report-smoke service-smoke collio-smoke alert-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,7 @@ test:
 check: lint
 	$(GO) test -race ./...
 	$(GO) test -run TestSearchSubjectSteadyStateAllocs ./internal/blast/
+	$(MAKE) fuzz
 	$(MAKE) bench-smoke
 	$(MAKE) metrics-smoke
 	$(MAKE) report-smoke
@@ -25,15 +26,24 @@ check: lint
 	$(MAKE) alert-smoke
 	$(MAKE) trace-smoke
 
-# go vet always; staticcheck and govulncheck when installed (the
-# container image may not carry them, and `go install` needs network).
+# gofmt and go vet always; staticcheck and govulncheck when installed
+# (the container image may not carry them, and `go install` needs
+# network).
 lint:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "lint: gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./scripts/metriclint .
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "lint: staticcheck not installed, skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint: govulncheck not installed, skipping"; fi
+
+# A short fuzzing run of the data server's list-read handler on top of
+# its seed corpus (internal/pvfs/testdata/fuzz/FuzzListRead), which
+# plain `go test` already replays.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzListRead$$' -fuzztime 10s ./internal/pvfs/
 
 # Boot a throwaway data server with -debug-addr, scrape /metrics, and
 # require the telemetry families the dashboards depend on.

@@ -78,7 +78,7 @@ func main() {
 		ioRetries = flag.Int("io-retries", rpcpool.DefaultRetries, "parallel-FS retry budget per request")
 		ioPool    = flag.Int("io-pool", rpcpool.DefaultPoolSize, "parallel-FS connections per server")
 		rpcStats  = flag.Bool("rpc-stats", false, "print per-server RPC latency/retry counters at exit")
-		noCoal    = flag.Bool("no-coalesce", false, "issue one RPC per stripe run instead of vectored batches (A/B comparison)")
+		noCoal    = flag.Bool("no-coalesce", false, "send each stripe run as its own single-segment list RPC instead of one list RPC per server (A/B comparison)")
 
 		// Live observability endpoints and run reports.
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/traces and /debug/pprof on this address (empty = off)")

@@ -29,6 +29,7 @@ import (
 	"log/slog"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pario/internal/chio"
@@ -650,7 +651,7 @@ func (f *file) refreshSize(m *pvfs.Meta) error {
 }
 
 // runsWriter issues all of one server's stripe runs. Plain writes
-// coalesce into one vectored RPC; the server-side duplication
+// coalesce into one list RPC; the server-side duplication
 // protocols stay one RPC per run because the dup ops carry a single
 // (offset, data) pair on the wire.
 type runsWriter func(ctx context.Context, d *pvfs.DataConn, handle uint64, runs []pvfs.StripeRun, p []byte) error
@@ -682,18 +683,12 @@ func dupAsyncWrite(ctx context.Context, d *pvfs.DataConn, handle uint64, runs []
 // took all of its runs, or had none).
 func writeRunsPerServer(ctx context.Context, conns []*pvfs.DataConn, runs [][]pvfs.StripeRun, handle uint64, p []byte, write runsWriter) []error {
 	errs := make([]error, len(conns))
-	var wg sync.WaitGroup
-	for server, list := range runs {
-		if len(list) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(server int, list []pvfs.StripeRun) {
-			defer wg.Done()
-			errs[server] = write(ctx, conns[server], handle, list, p)
-		}(server, list)
-	}
-	wg.Wait()
+	// Degraded mode needs every server's outcome, so each is kept in
+	// errs and none is returned to EachServer.
+	_ = pvfs.EachServer(runs, func(server int, list []pvfs.StripeRun) error {
+		errs[server] = write(ctx, conns[server], handle, list, p)
+		return nil
+	})
 	return errs
 }
 
@@ -830,72 +825,34 @@ func (f *file) writeAt(ctx context.Context, p []byte, off int64) (int, error) {
 }
 
 // readRuns issues per-server read runs against the chosen conns, each
-// server's runs coalesced into one vectored RPC. fallback, when
-// non-nil, provides each server's mirror partner: when the vectored
-// read fails — including by exhausting the transport's deadline/retry
-// budget with chio.ErrTimeout or chio.ErrServerDown — each of that
-// server's runs is retried individually on the mirror, which is
-// CEFT's RAID-10 degraded mode (a dead or hung server's data remains
-// available on its mirror, and a partial failure degrades per run
-// rather than failing the whole request).
+// server's runs in one list RPC. fallback, when non-nil, provides each
+// server's mirror partner: when the list read fails — including by
+// exhausting the transport's deadline/retry budget with
+// chio.ErrTimeout or chio.ErrServerDown — each of that server's runs
+// is retried individually on the mirror, which is CEFT's RAID-10
+// degraded mode (a dead or hung server's data remains available on its
+// mirror, and a partial failure degrades per run rather than failing
+// the whole request).
 func readRuns(ctx context.Context, conns, fallback []*pvfs.DataConn, runs [][]pvfs.StripeRun, handle uint64, p []byte, failovers *int64) error {
-	return readRunsWith(ctx, conns, fallback, runs, handle, p, failovers,
-		(*pvfs.DataConn).ReadRuns)
-}
-
-// readRunsList is readRuns over the list-I/O op: each server's runs —
-// which may be unsorted and overlapping, the decomposition of many
-// discontiguous logical ranges — travel as one OpListRead. The mirror
-// fallback is unchanged: a failed server degrades per run onto its
-// partner.
-func readRunsList(ctx context.Context, conns, fallback []*pvfs.DataConn, runs [][]pvfs.StripeRun, handle uint64, p []byte, failovers *int64) error {
-	return readRunsWith(ctx, conns, fallback, runs, handle, p, failovers,
-		(*pvfs.DataConn).ReadRunsList)
-}
-
-func readRunsWith(ctx context.Context, conns, fallback []*pvfs.DataConn, runs [][]pvfs.StripeRun, handle uint64, p []byte, failovers *int64,
-	read func(d *pvfs.DataConn, ctx context.Context, handle uint64, list []pvfs.StripeRun, p []byte) error) error {
-	errs := make([]error, len(conns))
-	var wg sync.WaitGroup
-	var failedOver int64
-	var mu sync.Mutex
-	for server, list := range runs {
-		if len(list) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(server int, list []pvfs.StripeRun) {
-			defer wg.Done()
-			d := conns[server]
-			err := read(d, ctx, handle, list, p)
-			if err == nil {
-				return
-			}
-			if ctx.Err() != nil || fallback == nil || fallback[server] == nil || fallback[server] == d {
-				errs[server] = err
-				return
-			}
-			for _, r := range list {
-				mu.Lock()
-				failedOver++
-				mu.Unlock()
-				if ferr := fallback[server].ReadRun(ctx, handle, r, p); ferr != nil {
-					errs[server] = ferr
-					return
-				}
-			}
-		}(server, list)
-	}
-	wg.Wait()
-	if failovers != nil {
-		*failovers += failedOver
-	}
-	for _, err := range errs {
-		if err != nil {
+	var failedOver atomic.Int64
+	err := pvfs.EachServer(runs, func(server int, list []pvfs.StripeRun) error {
+		d := conns[server]
+		err := d.ReadRuns(ctx, handle, list, p)
+		if err == nil || ctx.Err() != nil || fallback == nil || fallback[server] == nil || fallback[server] == d {
 			return err
 		}
+		for _, r := range list {
+			failedOver.Add(1)
+			if ferr := fallback[server].ReadRun(ctx, handle, r, p); ferr != nil {
+				return ferr
+			}
+		}
+		return nil
+	})
+	if failovers != nil {
+		*failovers += failedOver.Load()
 	}
-	return nil
+	return err
 }
 
 // ReadAt serves the read with doubled parallelism and hot-spot
@@ -924,7 +881,7 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 		outErr = io.EOF
 	}
 	// No up-front zeroing pass: the runs tile [0, n) of p exactly, and
-	// the vectored read path zero-fills each run's hole/EOF tail.
+	// the list read path zero-fills each run's hole/EOF tail.
 	// The root span ties the per-server (and failover) RPC spans below
 	// into one trace for this application read.
 	ctx, sp := f.cl.tracer.Start(f.ctx, "read")
@@ -996,57 +953,19 @@ func (f *file) ReadvAt(segs []chio.Seg, dst []byte) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	var maxEnd int64
-	for _, s := range segs {
-		if s.Off < 0 || s.Len < 0 {
-			return nil, fmt.Errorf("ceft: negative segment [%d,+%d)", s.Off, s.Len)
-		}
-		if end := s.Off + s.Len; end > maxEnd {
-			maxEnd = end
-		}
-	}
-	if maxEnd > m.Size {
+	if pvfs.SegEnd(segs) > m.Size {
 		if err := f.refreshSize(&m); err != nil {
 			return nil, err
 		}
 	}
-	var total int64
-	for _, s := range segs {
-		total += s.Len
-	}
-	if total > int64(len(dst)) {
-		return nil, fmt.Errorf("ceft: readv needs %d bytes, dst holds %d", total, len(dst))
-	}
-	g := len(f.cl.primary)
-	perServer := make([][]pvfs.StripeRun, g)
-	lens := make([]int64, len(segs))
-	var base, served int64
-	for i, s := range segs {
-		n := m.Size - s.Off
-		if n < 0 {
-			n = 0
-		}
-		if n > s.Len {
-			n = s.Len
-		}
-		lens[i] = n
-		if n > 0 {
-			for server, list := range pvfs.Decompose(s.Off, n, m.StripeSize, g) {
-				for _, r := range list {
-					r.BufOff += base
-					perServer[server] = append(perServer[server], r)
-				}
-			}
-			served += n
-		}
-		// EOF tails read back as zeros.
-		clear(dst[base+n : base+s.Len])
-		base += s.Len
+	perServer, lens, served, err := pvfs.DecomposeSegs(segs, dst, m.Size, m.StripeSize, len(f.cl.primary))
+	if err != nil {
+		return nil, err
 	}
 	ctx, sp := f.cl.tracer.Start(f.ctx, "readv")
 	conns, _ := f.cl.pickConns(ctx, true)
 	var fo int64
-	if err := readRunsList(ctx, conns, f.cl.partners(conns), perServer, m.Handle, dst, &fo); err != nil {
+	if err := readRuns(ctx, conns, f.cl.partners(conns), perServer, m.Handle, dst, &fo); err != nil {
 		sp.Finish(err)
 		return nil, err
 	}

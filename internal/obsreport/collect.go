@@ -178,12 +178,12 @@ func ParsePrometheus(r io.Reader) ([]Sample, error) {
 // hex-encoded IDs, microsecond durations.
 type tracesDoc struct {
 	Spans []struct {
-		TraceID    string    `json:"trace_id"`
-		SpanID     string    `json:"span_id"`
-		Parent     string    `json:"parent_id"`
-		Name       string    `json:"name"`
-		Server     string    `json:"server"`
-		Start      time.Time `json:"start"`
+		TraceID    string            `json:"trace_id"`
+		SpanID     string            `json:"span_id"`
+		Parent     string            `json:"parent_id"`
+		Name       string            `json:"name"`
+		Server     string            `json:"server"`
+		Start      time.Time         `json:"start"`
 		DurationUS int64             `json:"duration_us"`
 		Bytes      int64             `json:"bytes"`
 		Err        string            `json:"err"`

@@ -203,11 +203,9 @@ func (cl *Client) LoadMap() (map[int]float64, error) {
 	return resp.Loads, nil
 }
 
-// decompose splits the logical range [off, off+length) into one run
-// per data server (consecutive stripes of one server are contiguous
-// in its piece, so at most... they merge into runs; we emit per-server
-// merged run lists). Each server's runs come out in ascending
-// ServerOff (and BufOff) order — the order the vectored ops require.
+// decompose splits the logical range [off, off+length) into
+// per-server lists of stripe runs. Each server's runs come out in
+// ascending ServerOff (and BufOff) order.
 func decompose(off, length, stripe int64, nServers int) [][]StripeRun {
 	runs := make([][]StripeRun, nServers)
 	start := off
@@ -309,31 +307,18 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 		n = m.Size - off
 		outErr = io.EOF
 	}
-	// The runs tile [0, n) of p exactly, and the vectored read path
+	// The runs tile [0, n) of p exactly, and the list read path
 	// zero-fills each run's hole/EOF tail itself, so no up-front
 	// whole-buffer zeroing pass is needed.
 	// The root span (when tracing is on) ties the per-server RPC spans
 	// issued below into one trace for this application-level read.
 	ctx, sp := f.cl.cfg.Tracer.Start(f.cl.ctx, "read")
-	runs := decompose(off, n, m.StripeSize, len(f.cl.data))
-	errs := make([]error, len(f.cl.data))
-	var wg sync.WaitGroup
-	for server, list := range runs {
-		if len(list) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(server int, list []StripeRun) {
-			defer wg.Done()
-			errs[server] = readRunsVec(ctx, f.cl.data[server], m.Handle, list, p)
-		}(server, list)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			sp.Finish(err)
-			return 0, err
-		}
+	err = EachServer(decompose(off, n, m.StripeSize, len(f.cl.data)), func(server int, list []StripeRun) error {
+		return readRuns(ctx, f.cl.data[server], m.Handle, list, p)
+	})
+	if err != nil {
+		sp.Finish(err)
+		return 0, err
 	}
 	sp.AddBytes(n)
 	sp.Finish(nil)
@@ -354,25 +339,12 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 		return 0, nil
 	}
 	ctx, sp := f.cl.cfg.Tracer.Start(f.cl.ctx, "write")
-	runs := decompose(off, n, m.StripeSize, len(f.cl.data))
-	errs := make([]error, len(f.cl.data))
-	var wg sync.WaitGroup
-	for server, list := range runs {
-		if len(list) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(server int, list []StripeRun) {
-			defer wg.Done()
-			errs[server] = writeRunsVec(ctx, f.cl.data[server], m.Handle, list, p)
-		}(server, list)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			sp.Finish(err)
-			return 0, err
-		}
+	err = EachServer(decompose(off, n, m.StripeSize, len(f.cl.data)), func(server int, list []StripeRun) error {
+		return writeRuns(ctx, f.cl.data[server], m.Handle, list, p)
+	})
+	if err != nil {
+		sp.Finish(err)
+		return 0, err
 	}
 	sp.AddBytes(n)
 	sp.Finish(nil)

@@ -159,21 +159,10 @@ func (d *DataConn) call(ctx context.Context, req *Request) (*Response, error) {
 	return resp, nil
 }
 
-// ReadPiece reads up to n bytes of the piece at the server-local
-// offset. Short or empty results mean the piece is shorter (holes
-// read as missing bytes; callers zero-fill).
-func (d *DataConn) ReadPiece(ctx context.Context, handle uint64, off, n int64) ([]byte, error) {
-	resp, err := d.call(ctx, &Request{Op: OpPieceRead, Handle: handle, Offset: off, Length: n})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Data, nil
-}
-
-// WritePiece writes data at the server-local offset.
+// WritePiece writes data at the server-local offset with a
+// single-segment list write.
 func (d *DataConn) WritePiece(ctx context.Context, handle uint64, off int64, data []byte) error {
-	_, err := d.call(ctx, &Request{Op: OpPieceWrite, Handle: handle, Offset: off, Data: data})
-	return err
+	return listWrite(ctx, d.t, handle, []Seg{{Offset: off, Length: int64(len(data))}}, data)
 }
 
 // WritePieceDup writes data at the server-local offset and has the
@@ -199,24 +188,25 @@ func (d *DataConn) FlushForwards(ctx context.Context) error {
 
 // ReadRuns reads every stripe run in runs (which must all name this
 // server) into p, scattering each run's bytes at its BufOff and
-// zero-filling hole/EOF tails. Multiple runs coalesce into a single
-// vectored RPC unless the connection was dialed WithoutCoalescing.
+// zero-filling hole/EOF tails. The runs may be unsorted and may
+// overlap in the piece; they travel as one list RPC unless the
+// connection was dialed WithoutCoalescing.
 func (d *DataConn) ReadRuns(ctx context.Context, handle uint64, runs []StripeRun, p []byte) error {
-	return readRunsVec(ctx, d.t, handle, runs, p)
+	return readRuns(ctx, d.t, handle, runs, p)
 }
 
 // ReadRun reads one stripe run into p[r.BufOff:r.BufOff+r.Length],
 // decoding the payload directly into the destination (no per-RPC
 // payload allocation) and zero-filling any hole/EOF tail.
 func (d *DataConn) ReadRun(ctx context.Context, handle uint64, r StripeRun, p []byte) error {
-	return readRunInto(ctx, d.t, handle, r, p)
+	return readRun(ctx, d.t, handle, r, p)
 }
 
 // WriteRuns writes every stripe run in runs (which must all name this
-// server) from p, coalescing multiple runs into a single vectored RPC
-// unless the connection was dialed WithoutCoalescing.
+// server and must not overlap) from p, as one list RPC unless the
+// connection was dialed WithoutCoalescing.
 func (d *DataConn) WriteRuns(ctx context.Context, handle uint64, runs []StripeRun, p []byte) error {
-	return writeRunsVec(ctx, d.t, handle, runs, p)
+	return writeRuns(ctx, d.t, handle, runs, p)
 }
 
 // RemovePiece deletes the server's piece of the handle.
@@ -245,8 +235,7 @@ type StripeRun struct {
 
 // Decompose splits the logical byte range [off, off+length) into
 // per-server run lists under round-robin striping. Each server's list
-// is in ascending ServerOff (and BufOff) order, the order the vectored
-// piece ops require.
+// is in ascending ServerOff (and BufOff) order.
 func Decompose(off, length, stripe int64, nServers int) [][]StripeRun {
 	return decompose(off, length, stripe, nServers)
 }

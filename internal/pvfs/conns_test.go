@@ -121,14 +121,14 @@ func TestDataConnPieceOps(t *testing.T) {
 	if err := d.WritePiece(bg, 77, 10, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadPiece(bg, 77, 10, int64(len(payload)))
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("read back: %q %v", got, err)
+	r, err := d.call(bg, &Request{Op: OpListRead, Handle: 77, Segs: []Seg{{Offset: 10, Length: int64(len(payload))}}})
+	if err != nil || !bytes.Equal(r.Data, payload) {
+		t.Fatalf("read back: %+v %v", r, err)
 	}
 	// Reading a missing piece returns empty data, not an error (holes).
-	got, err = d.ReadPiece(bg, 9999, 0, 100)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("hole read: %d bytes, %v", len(got), err)
+	r, err = d.call(bg, &Request{Op: OpListRead, Handle: 9999, Segs: []Seg{{Offset: 0, Length: 100}}})
+	if err != nil || len(r.Data) != 0 || len(r.SegLens) != 1 || r.SegLens[0] != 0 {
+		t.Fatalf("hole read: %+v, %v", r, err)
 	}
 	if err := d.RemovePiece(bg, 77); err != nil {
 		t.Fatal(err)

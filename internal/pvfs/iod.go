@@ -3,8 +3,8 @@ package pvfs
 import (
 	"fmt"
 	"io"
+	"math"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,17 +194,7 @@ func (ds *DataServer) handle(req *Request) *Response {
 	defer ds.recordDone()
 	start := time.Now()
 	if t := atomic.LoadInt64(&ds.throttleNsPerKiB); t > 0 {
-		n := req.Length
-		switch req.Op {
-		case OpPieceWrite, OpPieceWritev, OpListWrite:
-			n = int64(len(req.Data))
-		case OpPieceReadv, OpListRead:
-			n = 0
-			for _, s := range req.Segs {
-				n += s.Length
-			}
-		}
-		kib := (n + 1023) / 1024
+		kib := (throttleBytes(req) + 1023) / 1024
 		wait := time.Duration(t * kib)
 		time.Sleep(wait)
 		ds.tel.observeQueueWait(wait)
@@ -214,32 +204,35 @@ func (ds *DataServer) handle(req *Request) *Response {
 	return resp
 }
 
-// dispatch routes one decoded request to its op handler.
+// throttleBytes is what the emulated disk charges for req: the bytes
+// a write carries or a read asks for. A malformed read list is charged
+// nothing, since it is refused without touching the piece.
+func throttleBytes(req *Request) int64 {
+	switch req.Op {
+	case OpPieceWrite, OpPieceWritev, OpListWrite:
+		return int64(len(req.Data))
+	case OpPieceRead, OpPieceReadv, OpListRead:
+		segs := pieceSegs(req)
+		if checkSegs(segs) != nil {
+			return 0
+		}
+		var n int64
+		for _, s := range segs {
+			n += s.Length
+		}
+		return n
+	}
+	return req.Length
+}
+
+// dispatch routes one decoded request to its op handler. Every piece
+// read and write, whatever its wire op, lands on the list handler of
+// its direction.
 func (ds *DataServer) dispatch(req *Request) *Response {
 	switch req.Op {
-	case OpPieceRead:
-		f, err := ds.store.Open(pieceName(req.Handle))
-		if err != nil {
-			// Reading a hole (piece never written): return zeros up
-			// to nothing; the client trims by file size.
-			return &Response{OK: true, Data: nil}
-		}
-		defer f.Close()
-		buf := make([]byte, req.Length)
-		n, err := f.ReadAt(buf, req.Offset)
-		if err != nil && err != io.EOF {
-			return errResp("piece read: %v", err)
-		}
-		return &Response{OK: true, Data: buf[:n]}
-	case OpPieceReadv:
-		return ds.handleReadv(req)
-	case OpListRead:
+	case OpPieceRead, OpPieceReadv, OpListRead:
 		return ds.handleListRead(req)
-	case OpPieceWrite:
-		return ds.handleWrite(req)
-	case OpPieceWritev:
-		return ds.handleWritev(req)
-	case OpListWrite:
+	case OpPieceWrite, OpPieceWritev, OpListWrite:
 		return ds.handleListWrite(req)
 	case OpPieceRemove:
 		err := ds.store.Remove(pieceName(req.Handle))
@@ -250,7 +243,7 @@ func (ds *DataServer) dispatch(req *Request) *Response {
 	case OpPing:
 		return &Response{OK: true, N: int64(ds.ID)}
 	case OpPieceWriteDupSync:
-		if resp := ds.localWrite(req); !resp.OK {
+		if resp := ds.handleListWrite(req); !resp.OK {
 			return resp
 		}
 		if err := ds.forward(req); err != nil {
@@ -258,7 +251,7 @@ func (ds *DataServer) dispatch(req *Request) *Response {
 		}
 		return &Response{OK: true, N: int64(len(req.Data))}
 	case OpPieceWriteDupAsync:
-		if resp := ds.localWrite(req); !resp.OK {
+		if resp := ds.handleListWrite(req); !resp.OK {
 			return resp
 		}
 		ds.startForwarder()
@@ -278,47 +271,121 @@ func (ds *DataServer) dispatch(req *Request) *Response {
 	return errResp("data server: unknown op %d", req.Op)
 }
 
-// handleReadv serves a vectored piece read: the piece is opened once
-// and every requested segment read positionally into one response
-// buffer — the server side of list-I/O. Segments past the piece's end
-// (holes, EOF) come back short; SegLens tells the client how much of
-// each segment was served so it can zero-fill the rest.
-func (ds *DataServer) handleReadv(req *Request) *Response {
-	lens := make([]int64, len(req.Segs))
+// pieceSegs returns the piece ranges a read or write request names:
+// the list and vectored ops carry them in Segs, the single-range ops
+// carry one range at Offset, Length bytes long for a read and as long
+// as Data for a write.
+func pieceSegs(req *Request) []Seg {
+	switch req.Op {
+	case OpPieceRead:
+		return []Seg{{Offset: req.Offset, Length: req.Length}}
+	case OpPieceWrite, OpPieceWriteDupSync, OpPieceWriteDupAsync:
+		return []Seg{{Offset: req.Offset, Length: int64(len(req.Data))}}
+	}
+	return req.Segs
+}
+
+// checkSegs refuses a segment list no piece can serve: a negative
+// offset or length, or an end or a list total past the largest int64.
+func checkSegs(segs []Seg) error {
+	var total int64
+	for _, s := range segs {
+		if s.Offset < 0 || s.Length < 0 {
+			return fmt.Errorf("negative segment [%d,+%d)", s.Offset, s.Length)
+		}
+		if s.Length > math.MaxInt64-s.Offset || s.Length > math.MaxInt64-total {
+			return fmt.Errorf("segment [%d,+%d) overflows", s.Offset, s.Length)
+		}
+		total += s.Length
+	}
+	return nil
+}
+
+// handleListRead serves every piece read. Each extent of the list is
+// read once, clamped to the piece's size, into one buffer. For an
+// ascending, disjoint list (the shape clients send) the extents are
+// the segments themselves and that buffer is the reply. Any other list
+// — unsorted or overlapping — is first merged into maximal extents in
+// ascending order, and each segment's bytes are then copied out of its
+// extent in request order. Short segments are holes or EOF, and
+// SegLens tells the client how much of each was served.
+func (ds *DataServer) handleListRead(req *Request) *Response {
+	segs := pieceSegs(req)
+	if err := checkSegs(segs); err != nil {
+		return errResp("list read: %v", err)
+	}
 	f, err := ds.store.Open(pieceName(req.Handle))
 	if err != nil {
 		// Piece never written: every segment is a hole.
-		return &Response{OK: true, SegLens: lens}
+		return &Response{OK: true, SegLens: make([]int64, len(segs))}
 	}
 	defer f.Close()
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return errResp("list read: %v", err)
+	}
+	held := func(e Seg) int64 { return max(0, min(e.Length, size-e.Offset)) }
+	ext, group := segs, []int(nil)
+	if !ascending(segs) {
+		ext, group = mergeSegs(segs)
+	}
 	var total int64
-	for _, s := range req.Segs {
-		total += s.Length
+	for _, e := range ext {
+		total += held(e)
 	}
-	buf := make([]byte, 0, total)
-	for i, s := range req.Segs {
-		start := len(buf)
-		buf = buf[:start+int(s.Length)]
-		n, err := f.ReadAt(buf[start:], s.Offset)
+	buf := make([]byte, total)
+	lens := make([]int64, len(ext))
+	var pos int64
+	for k, e := range ext {
+		n, err := f.ReadAt(buf[pos:pos+held(e)], e.Offset)
 		if err != nil && err != io.EOF {
-			return errResp("piece readv: %v", err)
+			return errResp("list read: %v", err)
 		}
-		lens[i] = int64(n)
-		buf = buf[:start+n]
+		lens[k] = int64(n)
+		pos += int64(n)
 	}
-	return &Response{OK: true, Data: buf, SegLens: lens}
+	if group == nil {
+		return &Response{OK: true, Data: buf[:pos], SegLens: lens}
+	}
+	views := make([][]byte, len(ext))
+	for k, n := range lens {
+		views[k], buf = buf[:n], buf[n:]
+	}
+	out := make([]byte, 0, pos)
+	segLens := make([]int64, len(segs))
+	for i, s := range segs {
+		v := within(views[group[i]], ext[group[i]].Offset, s)
+		segLens[i] = int64(len(v))
+		out = append(out, v...)
+	}
+	return &Response{OK: true, Data: out, SegLens: segLens}
 }
 
-// handleWritev applies a vectored piece write: the piece is opened (or
-// created) once and every segment written positionally from the
-// request's concatenated payload.
-func (ds *DataServer) handleWritev(req *Request) *Response {
+// handleListWrite serves every piece write: the segment list may be
+// unsorted but must not overlap, since overlap would make the result
+// depend on the order the segments are applied in. Request.Data
+// carries the segments' bytes concatenated in request order.
+func (ds *DataServer) handleListWrite(req *Request) *Response {
+	segs := pieceSegs(req)
+	if err := checkSegs(segs); err != nil {
+		return errResp("list write: %v", err)
+	}
 	var total int64
-	for _, s := range req.Segs {
+	for _, s := range segs {
 		total += s.Length
 	}
 	if total != int64(len(req.Data)) {
-		return errResp("piece writev: payload %d bytes, segments claim %d", len(req.Data), total)
+		return errResp("list write: payload %d bytes, segments claim %d", len(req.Data), total)
+	}
+	if !ascending(segs) {
+		order := byOffset(segs)
+		for k := 1; k < len(order); k++ {
+			prev, cur := segs[order[k-1]], segs[order[k]]
+			if prev.Offset+prev.Length > cur.Offset {
+				return errResp("list write: overlapping segments [%d,+%d) and [%d,+%d)",
+					prev.Offset, prev.Length, cur.Offset, cur.Length)
+			}
+		}
 	}
 	ds.filesMu.Lock()
 	f, err := ds.store.Open(pieceName(req.Handle))
@@ -331,191 +398,15 @@ func (ds *DataServer) handleWritev(req *Request) *Response {
 	}
 	defer f.Close()
 	data := req.Data
-	for _, s := range req.Segs {
-		if _, err := f.WriteAt(data[:s.Length], s.Offset); err != nil {
-			return errResp("piece writev: %v", err)
+	for _, s := range segs {
+		if s.Length > 0 {
+			if _, err := f.WriteAt(data[:s.Length], s.Offset); err != nil {
+				return errResp("list write: %v", err)
+			}
 		}
 		data = data[s.Length:]
 	}
 	return &Response{OK: true, N: int64(len(req.Data))}
-}
-
-// handleListRead serves a list-I/O read: an arbitrary — possibly
-// unsorted, possibly overlapping — segment list satisfied with a
-// single sorted pass over the piece. The segments are sorted by
-// offset, overlapping and adjacent ones merged into maximal extents,
-// each extent read once, and the extent bytes fanned back out to the
-// segments in request order. Per-segment semantics match OpPieceReadv:
-// short segments are holes or EOF and SegLens tells the client how
-// much of each was served.
-func (ds *DataServer) handleListRead(req *Request) *Response {
-	lens := make([]int64, len(req.Segs))
-	for _, s := range req.Segs {
-		if s.Offset < 0 || s.Length < 0 {
-			return errResp("list read: negative segment [%d,+%d)", s.Offset, s.Length)
-		}
-	}
-	f, err := ds.store.Open(pieceName(req.Handle))
-	if err != nil {
-		// Piece never written: every segment is a hole.
-		return &Response{OK: true, SegLens: lens}
-	}
-	defer f.Close()
-
-	order := make([]int, len(req.Segs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return req.Segs[order[a]].Offset < req.Segs[order[b]].Offset
-	})
-
-	// One ascending pass: walk the sorted segments, growing the current
-	// extent while the next segment overlaps or abuts it, and read each
-	// finished extent exactly once.
-	type extent struct {
-		off  int64
-		data []byte // served bytes (may be shorter than requested: EOF)
-	}
-	var extents []extent
-	segExt := make([]int, len(req.Segs)) // segment -> extent index
-	var lo, hi int64
-	open := false
-	flush := func() *Response {
-		if !open {
-			return nil
-		}
-		buf := make([]byte, hi-lo)
-		n, err := f.ReadAt(buf, lo)
-		if err != nil && err != io.EOF {
-			return errResp("list read: %v", err)
-		}
-		extents = append(extents, extent{off: lo, data: buf[:n]})
-		open = false
-		return nil
-	}
-	for _, i := range order {
-		s := req.Segs[i]
-		if s.Length == 0 {
-			segExt[i] = -1
-			continue
-		}
-		if open && s.Offset <= hi {
-			if end := s.Offset + s.Length; end > hi {
-				hi = end
-			}
-		} else {
-			if resp := flush(); resp != nil {
-				return resp
-			}
-			lo, hi, open = s.Offset, s.Offset+s.Length, true
-		}
-		segExt[i] = len(extents)
-	}
-	if resp := flush(); resp != nil {
-		return resp
-	}
-
-	var total int64
-	for _, s := range req.Segs {
-		total += s.Length
-	}
-	buf := make([]byte, 0, total)
-	for i, s := range req.Segs {
-		if segExt[i] < 0 {
-			continue
-		}
-		e := extents[segExt[i]]
-		rel := s.Offset - e.off
-		served := int64(len(e.data)) - rel
-		if served < 0 {
-			served = 0
-		}
-		if served > s.Length {
-			served = s.Length
-		}
-		lens[i] = served
-		buf = append(buf, e.data[rel:rel+served]...)
-	}
-	return &Response{OK: true, Data: buf, SegLens: lens}
-}
-
-// handleListWrite applies a list-I/O write: the segment list may be
-// unsorted (the piece is written in one ascending pass) but must not
-// overlap. Request.Data carries the segments' bytes concatenated in
-// request order.
-func (ds *DataServer) handleListWrite(req *Request) *Response {
-	var total int64
-	starts := make([]int64, len(req.Segs))
-	for i, s := range req.Segs {
-		if s.Offset < 0 || s.Length < 0 {
-			return errResp("list write: negative segment [%d,+%d)", s.Offset, s.Length)
-		}
-		starts[i] = total
-		total += s.Length
-	}
-	if total != int64(len(req.Data)) {
-		return errResp("list write: payload %d bytes, segments claim %d", len(req.Data), total)
-	}
-	order := make([]int, len(req.Segs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return req.Segs[order[a]].Offset < req.Segs[order[b]].Offset
-	})
-	for k := 1; k < len(order); k++ {
-		prev, cur := req.Segs[order[k-1]], req.Segs[order[k]]
-		if prev.Offset+prev.Length > cur.Offset {
-			return errResp("list write: overlapping segments [%d,+%d) and [%d,+%d)",
-				prev.Offset, prev.Length, cur.Offset, cur.Length)
-		}
-	}
-	ds.filesMu.Lock()
-	f, err := ds.store.Open(pieceName(req.Handle))
-	if err != nil {
-		f, err = ds.store.Create(pieceName(req.Handle))
-	}
-	ds.filesMu.Unlock()
-	if err != nil {
-		return errResp("piece create: %v", err)
-	}
-	defer f.Close()
-	for _, i := range order {
-		s := req.Segs[i]
-		if s.Length == 0 {
-			continue
-		}
-		if _, err := f.WriteAt(req.Data[starts[i]:starts[i]+s.Length], s.Offset); err != nil {
-			return errResp("list write: %v", err)
-		}
-	}
-	return &Response{OK: true, N: int64(len(req.Data))}
-}
-
-// handleWrite applies a piece write to this server's store.
-func (ds *DataServer) handleWrite(req *Request) *Response {
-	ds.filesMu.Lock()
-	f, err := ds.store.Open(pieceName(req.Handle))
-	if err != nil {
-		f, err = ds.store.Create(pieceName(req.Handle))
-	}
-	ds.filesMu.Unlock()
-	if err != nil {
-		return errResp("piece create: %v", err)
-	}
-	defer f.Close()
-	if _, err := f.WriteAt(req.Data, req.Offset); err != nil {
-		return errResp("piece write: %v", err)
-	}
-	return &Response{OK: true, N: int64(len(req.Data))}
-}
-
-// localWrite applies a duplication write to this server's own piece.
-func (ds *DataServer) localWrite(req *Request) *Response {
-	local := *req
-	local.Op = OpPieceWrite
-	return ds.handleWrite(&local)
 }
 
 // forward synchronously delivers a write to the mirror partner.
@@ -533,7 +424,7 @@ func (ds *DataServer) forward(req *Request) error {
 		ds.fwdConn = c
 	}
 	fwd := *req
-	fwd.Op = OpPieceWrite
+	fwd.Op, fwd.Segs = OpListWrite, pieceSegs(req)
 	var resp Response
 	err := ds.fwdConn.call(&fwd, &resp)
 	if err != nil {

@@ -2,12 +2,25 @@ package pvfs
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"testing/quick"
 
 	"pario/internal/chio"
+	"pario/internal/iotrace"
+	"pario/internal/rpcpool"
 	"pario/internal/util"
 )
+
+// listRead sends one OpListRead and returns the served bytes and the
+// per-segment served lengths.
+func listRead(d *DataConn, handle uint64, segs []Seg) ([]byte, []int64, error) {
+	resp, err := d.call(bg, &Request{Op: OpListRead, Handle: handle, Segs: segs})
+	if err != nil {
+		return nil, nil, err
+	}
+	return resp.Data, resp.SegLens, nil
+}
 
 // TestListReadPropertyRandomSegments is the list-I/O correctness
 // property: for any segment list — unsorted, overlapping, touching
@@ -59,9 +72,9 @@ func TestListReadPropertyRandomSegments(t *testing.T) {
 			// lengths 0..511.
 			segs[i] = Seg{Offset: int64(v) % 3500, Length: int64(v>>7) % 512}
 		}
-		data, lens, err := d.ListRead(bg, handle, segs)
+		data, lens, err := listRead(d, handle, segs)
 		if err != nil {
-			t.Logf("ListRead: %v", err)
+			t.Logf("list read: %v", err)
 			return false
 		}
 		if len(lens) != len(segs) {
@@ -114,13 +127,13 @@ func TestListWriteUnsortedAndOverlapRejected(t *testing.T) {
 
 	// Unsorted, disjoint: payload is request order, not piece order.
 	payload := []byte("BBBBAAAA")
-	if err := d.ListWrite(bg, handle, []Seg{
+	if err := listWrite(bg, d.t, handle, []Seg{
 		{Offset: 100, Length: 4}, // "BBBB"
 		{Offset: 0, Length: 4},   // "AAAA"
 	}, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, lens, err := d.ListRead(bg, handle, []Seg{
+	got, lens, err := listRead(d, handle, []Seg{
 		{Offset: 0, Length: 4},
 		{Offset: 100, Length: 4},
 	})
@@ -132,7 +145,7 @@ func TestListWriteUnsortedAndOverlapRejected(t *testing.T) {
 	}
 
 	// Overlapping list: rejected, nothing written.
-	err = d.ListWrite(bg, handle, []Seg{
+	err = listWrite(bg, d.t, handle, []Seg{
 		{Offset: 200, Length: 8},
 		{Offset: 204, Length: 8},
 	}, make([]byte, 16))
@@ -233,8 +246,9 @@ func TestWireOpValuesStable(t *testing.T) {
 
 // TestOldClientAgainstListServer replays the exact request shapes a
 // pre-list-I/O client sends — OpPieceRead, OpPieceReadv with sorted
-// disjoint Segs — against a server that also handles the list ops,
-// proving the addition changed nothing for old peers.
+// disjoint Segs, OpPieceWrite, OpPieceWritev — against a server whose
+// only piece handlers are the list ones, proving old peers still get
+// the answers they expect.
 func TestOldClientAgainstListServer(t *testing.T) {
 	tc := startCluster(t, 1, 64)
 	cl := tc.client
@@ -253,7 +267,7 @@ func TestOldClientAgainstListServer(t *testing.T) {
 	}
 	defer d.Close()
 
-	// OpPieceRead, the PR 0 shape.
+	// OpPieceRead, the single-range shape.
 	r1, err := d.call(bg, &Request{Op: OpPieceRead, Handle: handle, Offset: 4, Length: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +276,17 @@ func TestOldClientAgainstListServer(t *testing.T) {
 		t.Fatalf("piece read through list-capable server: %q", r1.Data)
 	}
 
-	// OpPieceReadv, the PR 2 shape (sorted, disjoint).
+	// OpPieceRead of a piece that was never written: a hole, answered
+	// OK with no bytes.
+	r0, err := d.call(bg, &Request{Op: OpPieceRead, Handle: handle + 1000, Offset: 0, Length: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r0.OK || len(r0.Data) != 0 {
+		t.Fatalf("missing-piece read: ok=%v data=%q", r0.OK, r0.Data)
+	}
+
+	// OpPieceReadv, the vectored shape (sorted, disjoint).
 	r2, err := d.call(bg, &Request{Op: OpPieceReadv, Handle: handle, Segs: []Seg{
 		{Offset: 0, Length: 4}, {Offset: 16, Length: 4},
 	}})
@@ -271,5 +295,367 @@ func TestOldClientAgainstListServer(t *testing.T) {
 	}
 	if !r2.OK || string(r2.Data) != "01230123" {
 		t.Fatalf("vectored read through list-capable server: %q", r2.Data)
+	}
+
+	// OpPieceWrite, the single-range write: acknowledged with the byte
+	// count, and the bytes land at Offset.
+	w1, err := d.call(bg, &Request{Op: OpPieceWrite, Handle: handle, Offset: 2, Data: []byte("XY")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w1.OK || w1.N != 2 {
+		t.Fatalf("piece write: ok=%v n=%d", w1.OK, w1.N)
+	}
+
+	// OpPieceWritev, the vectored write (sorted, disjoint segments,
+	// payload concatenated in order).
+	w2, err := d.call(bg, &Request{Op: OpPieceWritev, Handle: handle, Data: []byte("PQRS"), Segs: []Seg{
+		{Offset: 8, Length: 2}, {Offset: 20, Length: 2},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w2.OK || w2.N != 4 {
+		t.Fatalf("vectored write: ok=%v n=%d", w2.OK, w2.N)
+	}
+
+	want := append([]byte(nil), content...)
+	copy(want[2:], "XY")
+	copy(want[8:], "PQ")
+	copy(want[20:], "RS")
+	r3, err := d.call(bg, &Request{Op: OpPieceRead, Handle: handle, Offset: 0, Length: int64(len(content))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(r3.Data, want) {
+		t.Fatalf("after legacy writes piece = %q, want %q", r3.Data, want)
+	}
+}
+
+// TestDecomposeRunsAscendingProperty: within each server's list, runs
+// are in strictly ascending ServerOff and BufOff order, so a
+// single-range write's gathered payload is already in piece order.
+func TestDecomposeRunsAscendingProperty(t *testing.T) {
+	f := func(offRaw, lenRaw uint16, stripeSel, nSel uint8) bool {
+		stripe := int64(1 + stripeSel%128)
+		n := 1 + int(nSel%8)
+		off := int64(offRaw % 4096)
+		length := int64(lenRaw%4096) + 1
+		runs := decompose(off, length, stripe, n)
+		for server, list := range runs {
+			for i, r := range list {
+				if r.Server != server || r.Length <= 0 {
+					return false
+				}
+				if i > 0 {
+					prev := list[i-1]
+					if r.ServerOff <= prev.ServerOff || r.BufOff <= prev.BufOff {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVectoredReadWriteRoundTrip exercises multi-run list reads and
+// writes end to end through DataConn.WriteRuns/ReadRuns, including
+// hole zero-fill and EOF-short segments.
+func TestVectoredReadWriteRoundTrip(t *testing.T) {
+	tc := startCluster(t, 1, 64)
+	cl := tc.client
+	resp, err := cl.metaCall(cl.ctx, &Request{Op: OpCreate, Name: "v", Stripe: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handle := resp.Meta.Handle
+	d, err := DialData(tc.iods[0].Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	// Write two disjoint runs in one list RPC.
+	buf := make([]byte, 300)
+	for i := range buf {
+		buf[i] = byte(i + 1)
+	}
+	writeRuns := []StripeRun{
+		{ServerOff: 0, BufOff: 0, Length: 100},
+		{ServerOff: 200, BufOff: 200, Length: 100},
+	}
+	if err := d.WriteRuns(bg, handle, writeRuns, buf); err != nil {
+		t.Fatal(err)
+	}
+
+	// Read back three runs: the two written ranges plus the hole
+	// between them and a range past EOF.
+	got := make([]byte, 500)
+	for i := range got {
+		got[i] = 0xEE // must be overwritten or zeroed, never left
+	}
+	readRuns := []StripeRun{
+		{ServerOff: 0, BufOff: 0, Length: 100},     // written
+		{ServerOff: 100, BufOff: 100, Length: 100}, // hole -> zeros
+		{ServerOff: 200, BufOff: 200, Length: 100}, // written
+		{ServerOff: 300, BufOff: 300, Length: 200}, // past EOF -> zeros
+	}
+	if err := d.ReadRuns(bg, handle, readRuns, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:100], buf[:100]) || !bytes.Equal(got[200:300], buf[200:300]) {
+		t.Fatal("list read returned wrong data for written runs")
+	}
+	for i := 100; i < 200; i++ {
+		if got[i] != 0 {
+			t.Fatalf("hole byte %d = %#x, want 0", i, got[i])
+		}
+	}
+	for i := 300; i < 500; i++ {
+		if got[i] != 0 {
+			t.Fatalf("past-EOF byte %d = %#x, want 0", i, got[i])
+		}
+	}
+}
+
+// TestCoalescedReadMatchesLegacy: the same strided ReadAt produces the
+// same bytes with and without coalescing, and the coalesced client
+// issues strictly fewer data-server RPCs.
+func TestCoalescedReadMatchesLegacy(t *testing.T) {
+	const nServers = 2
+	const stripe = int64(64)
+	tc := startCluster(t, nServers, stripe)
+
+	// Content spanning many stripes per server.
+	data := make([]byte, 8*1024)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	f, err := tc.client.Create("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	read := func(opts ...rpcpool.Option) ([]byte, *iotrace.RPCMetrics) {
+		m := iotrace.NewRPCMetrics()
+		opts = append(opts, rpcpool.WithObserver(m), rpcpool.WithBatchObserver(m))
+		var addrs []string
+		for _, ds := range tc.iods {
+			addrs = append(addrs, ds.Addr())
+		}
+		cl, err := Dial(tc.mgr.Addr(), addrs, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		fr, err := cl.Open("db")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fr.Close()
+		out := make([]byte, len(data))
+		if _, err := fr.ReadAt(out, 0); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		return out, m
+	}
+
+	fast, fastM := read()
+	slow, slowM := read(rpcpool.WithoutCoalescing())
+	if !bytes.Equal(fast, data) {
+		t.Fatal("coalesced read data mismatch")
+	}
+	if !bytes.Equal(slow, data) {
+		t.Fatal("legacy read data mismatch")
+	}
+	count := func(m *iotrace.RPCMetrics) (rpcs, saved int64) {
+		for _, s := range m.Snapshot() {
+			rpcs += s.BatchRPCs
+			saved += s.RPCsSaved()
+		}
+		return
+	}
+	fastRPCs, fastSaved := count(fastM)
+	slowRPCs, slowSaved := count(slowM)
+	if fastRPCs >= slowRPCs {
+		t.Errorf("coalescing saved nothing: %d vs %d data RPCs", fastRPCs, slowRPCs)
+	}
+	if fastSaved == 0 {
+		t.Error("coalesced client reported zero RPCs saved")
+	}
+	if slowSaved != 0 {
+		t.Errorf("non-coalescing client reported %d RPCs saved", slowSaved)
+	}
+}
+
+// TestWriteAtSkipsSizeRPCWhenNotExtending: overwriting bytes within
+// the file's known size must not issue an OpSetSize metadata RPC.
+func TestWriteAtSkipsSizeRPCWhenNotExtending(t *testing.T) {
+	tc := startCluster(t, 2, 64)
+	f, err := tc.client.Create("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	data := make([]byte, 1024)
+	if _, err := f.WriteAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	m := iotrace.NewRPCMetrics()
+	var addrs []string
+	for _, ds := range tc.iods {
+		addrs = append(addrs, ds.Addr())
+	}
+	cl, err := Dial(tc.mgr.Addr(), addrs, rpcpool.WithObserver(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	metaAddr := tc.mgr.Addr()
+	metaCalls := func() int64 {
+		for _, s := range m.Snapshot() {
+			if s.Server == metaAddr {
+				return s.Calls
+			}
+		}
+		return 0
+	}
+	fw, err := cl.Open("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fw.Close()
+	before := metaCalls()
+	// Interior overwrite: no size RPC.
+	if _, err := fw.WriteAt(make([]byte, 100), 50); err != nil {
+		t.Fatal(err)
+	}
+	if got := metaCalls(); got != before {
+		t.Errorf("interior overwrite issued %d metadata RPCs, want 0", got-before)
+	}
+	// Extending write: exactly one size RPC.
+	if _, err := fw.WriteAt(make([]byte, 100), 1000); err != nil {
+		t.Fatal(err)
+	}
+	if got := metaCalls(); got != before+1 {
+		t.Errorf("extending write issued %d metadata RPCs, want 1", got-before)
+	}
+	// Verify the size really grew.
+	fi, err := cl.Stat("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size != 1100 {
+		t.Errorf("size = %d, want 1100", fi.Size)
+	}
+}
+
+// TestMergeAdjacentBoundaryRuns pins the piece-adjacency merge with
+// exact boundary offsets: consecutive stripes of one server abut in
+// its piece even though they are a full round apart in the logical
+// file, so decompose's per-stripe runs must collapse to one wire
+// segment per server — and a run that stops one byte short of the
+// boundary must NOT merge with the run starting at it.
+func TestMergeAdjacentBoundaryRuns(t *testing.T) {
+	const stripe = int64(64)
+	const nServers = 2
+
+	// Stripe-aligned read of 4 stripes: each server gets 2 runs that
+	// abut in its piece (server 0: [0,64)+[64,128); same for 1).
+	runs := decompose(0, 4*stripe, stripe, nServers)
+	for server, list := range runs {
+		if len(list) != 2 {
+			t.Fatalf("server %d: %d runs, want 2", server, len(list))
+		}
+		segs, group := mergeSegs(runSegs(list))
+		if len(segs) != 1 {
+			t.Fatalf("server %d: %d wire segments, want 1 (runs %+v)", server, len(segs), list)
+		}
+		if segs[0].Offset != 0 || segs[0].Length != 2*stripe {
+			t.Errorf("server %d: merged segment [%d,+%d), want [0,+%d)",
+				server, segs[0].Offset, segs[0].Length, 2*stripe)
+		}
+		if group[0] != 0 || group[1] != 0 {
+			t.Errorf("server %d: group = %v, want [0 0]", server, group)
+		}
+	}
+
+	// One byte missing at the boundary: [0,63) and [64,128) in the
+	// piece must stay separate segments.
+	gap := []StripeRun{
+		{Server: 0, ServerOff: 0, BufOff: 0, Length: stripe - 1},
+		{Server: 0, ServerOff: stripe, BufOff: stripe, Length: stripe},
+	}
+	segs, group := mergeSegs(runSegs(gap))
+	if len(segs) != 2 {
+		t.Fatalf("gapped runs merged into %d segments, want 2", len(segs))
+	}
+	if group[0] != 0 || group[1] != 1 {
+		t.Errorf("gapped group = %v, want [0 1]", group)
+	}
+
+	// Exact abutment one stripe in: [64,128) then [128,192).
+	abut := []StripeRun{
+		{Server: 0, ServerOff: stripe, BufOff: 0, Length: stripe},
+		{Server: 0, ServerOff: 2 * stripe, BufOff: stripe, Length: stripe},
+	}
+	segs, _ = mergeSegs(runSegs(abut))
+	if len(segs) != 1 || segs[0].Offset != stripe || segs[0].Length != 2*stripe {
+		t.Fatalf("abutting runs gave segments %+v, want one [%d,+%d)", segs, stripe, 2*stripe)
+	}
+
+	// The same abutting pair listed in reverse piece order still
+	// merges, and each run keeps its own segment index.
+	segs, group = mergeSegs(runSegs([]StripeRun{abut[1], abut[0]}))
+	if len(segs) != 1 || segs[0].Offset != stripe || segs[0].Length != 2*stripe || group[0] != 0 || group[1] != 0 {
+		t.Fatalf("reversed abutting runs gave segments %+v group %v, want one [%d,+%d)", segs, group, stripe, 2*stripe)
+	}
+}
+
+// TestBoundaryMergedReadBytes reads exactly the shapes the merge
+// changes on the wire — stripe-aligned, boundary-straddling, and
+// boundary-minus-one — and checks byte-identical results against the
+// written payload.
+func TestBoundaryMergedReadBytes(t *testing.T) {
+	const stripe = int64(64)
+	tc := startCluster(t, 2, stripe)
+	payload := make([]byte, 8*stripe)
+	for i := range payload {
+		payload[i] = byte(i*31 + 7)
+	}
+	if err := chio.WriteFull(tc.client, "bm", payload); err != nil {
+		t.Fatal(err)
+	}
+	f, err := tc.client.Open("bm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, r := range []struct{ off, n int64 }{
+		{0, 4 * stripe},            // aligned: 2 abutting runs per server merge
+		{stripe - 1, 2*stripe + 2}, // straddles three stripes
+		{0, 4*stripe - 1},          // last run one byte short of the boundary
+		{1, 4 * stripe},            // first run one byte past the boundary
+	} {
+		got := make([]byte, r.n)
+		n, err := f.ReadAt(got, r.off)
+		if err != nil && err != io.EOF {
+			t.Fatalf("ReadAt(%d,+%d): %v", r.off, r.n, err)
+		}
+		if int64(n) != r.n {
+			t.Fatalf("ReadAt(%d,+%d): short read %d", r.off, r.n, n)
+		}
+		if !bytes.Equal(got, payload[r.off:r.off+r.n]) {
+			t.Fatalf("ReadAt(%d,+%d): data mismatch", r.off, r.n)
+		}
 	}
 }

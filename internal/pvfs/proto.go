@@ -33,9 +33,16 @@ const (
 	OpLoadQuery  // client -> mgr: fetch load map
 )
 
-// Data server ops.
+// Data server ops. Clients send only the list ops for piece data;
+// servers still answer the legacy single-range and vectored ops (sent
+// by older clients) by mapping each onto the list handler of its
+// direction, so every read and write of a piece has one server path.
 const (
+	// OpPieceRead (legacy) reads Request.Length bytes at
+	// Request.Offset: a one-segment OpListRead.
 	OpPieceRead Op = iota + 64
+	// OpPieceWrite (legacy) writes Request.Data at Request.Offset: a
+	// one-segment OpListWrite.
 	OpPieceWrite
 	OpPieceRemove
 	OpPing
@@ -49,33 +56,30 @@ const (
 	// OpFlushForwards blocks until every queued asynchronous forward
 	// accepted so far has been delivered to the mirror.
 	OpFlushForwards
-	// OpPieceReadv reads every segment in Request.Segs in one round
-	// trip: the response carries the segments' bytes concatenated in
-	// request order, with Response.SegLens giving each segment's actual
-	// length (short segments are holes or EOF; the client zero-fills).
+	// OpPieceReadv (legacy) reads the ascending segments in
+	// Request.Segs: served exactly as OpListRead.
 	OpPieceReadv
-	// OpPieceWritev writes every segment in Request.Segs in one round
-	// trip; Request.Data carries the segments' bytes concatenated in
-	// request order (each Seg.Length bytes long).
+	// OpPieceWritev (legacy) writes the ascending segments in
+	// Request.Segs: served exactly as OpListWrite.
 	OpPieceWritev
-	// OpListRead generalizes OpPieceReadv to an arbitrary (offset,
-	// length) list: Request.Segs may be unsorted and may overlap. The
-	// server makes a single sorted pass over the piece (each byte is
-	// read at most once) and answers like OpPieceReadv: Data is the
-	// segments' served bytes concatenated in request order, SegLens the
-	// per-segment byte counts (short segments are holes or EOF; the
-	// client zero-fills). Appended after the PR 2 ops so existing wire
-	// values are unchanged — old peers interoperate with new ones.
+	// OpListRead reads an arbitrary (offset, length) list in one round
+	// trip: Request.Segs may be unsorted and may overlap. The server
+	// makes a single sorted pass over the piece (each byte is read at
+	// most once) and answers with Data holding the segments' served
+	// bytes concatenated in request order and SegLens the per-segment
+	// byte counts (short segments are holes or EOF; the client
+	// zero-fills). The list ops were appended after the legacy ops so
+	// existing wire values are unchanged.
 	OpListRead
-	// OpListWrite generalizes OpPieceWritev: Request.Segs may be
-	// unsorted (the server sorts and writes in one ascending pass) but
-	// must not overlap, since overlap would make the result order-
-	// dependent. Request.Data is the segments' bytes concatenated in
-	// request order.
+	// OpListWrite writes an arbitrary (offset, length) list in one
+	// round trip: Request.Segs may be unsorted but must not overlap,
+	// since overlap would make the result order-dependent.
+	// Request.Data is the segments' bytes concatenated in request
+	// order.
 	OpListWrite
 )
 
-// Seg is one server-local byte range of a vectored piece request.
+// Seg is one server-local byte range of a list request.
 type Seg struct {
 	Offset int64
 	Length int64
@@ -95,8 +99,9 @@ type Request struct {
 	// Stripe carries the client's stripe-size hint for OpCreate; zero
 	// means the manager's configured default.
 	Stripe int64
-	// Segs carries the server-local ranges of a vectored piece request
-	// (OpPieceReadv / OpPieceWritev), in ascending offset order.
+	// Segs carries the server-local ranges of a list request
+	// (OpListRead / OpListWrite, and the legacy OpPieceReadv /
+	// OpPieceWritev, whose ranges are in ascending offset order).
 	Segs []Seg
 	// TraceID/SpanID propagate the client span that issued this
 	// request, so server-side work is attributable to the application
@@ -170,7 +175,7 @@ type Response struct {
 	Metas    []Meta
 	Data     []byte
 	N        int64
-	// SegLens answers OpPieceReadv: the actual byte count served for
+	// SegLens answers a list read: the actual byte count served for
 	// each requested segment (Data holds the concatenation).
 	SegLens []int64
 	// Loads maps data-server index to its last reported load.
@@ -185,13 +190,13 @@ func (r *Response) err() error {
 }
 
 // reset clears the response for reuse while keeping the capacity of
-// its Data buffer, so pooled responses decode without reallocating the
-// payload (gob reuses a slice whose capacity suffices). Every field
-// must be cleared: gob omits zero-valued fields on the wire, so a
-// recycled response would otherwise leak values from a previous call.
+// its Data and SegLens buffers, so pooled responses decode without
+// reallocating them (gob reuses a slice whose capacity suffices).
+// Every field must be cleared: gob omits zero-valued fields on the
+// wire, so a recycled response would otherwise leak values from a
+// previous call.
 func (r *Response) reset() {
-	data := r.Data[:0]
-	*r = Response{Data: data}
+	*r = Response{Data: r.Data[:0], SegLens: r.SegLens[:0]}
 }
 
 // conn is a synchronous RPC connection: one outstanding request at a
